@@ -54,12 +54,6 @@ type Model = core.Model
 // Report describes a completed training run.
 type Report = core.Report
 
-// RetrainPolicy is the §7 accuracy-monitored retraining policy.
-type RetrainPolicy = core.RetrainPolicy
-
-// Monitor tracks windowed accuracy and triggers retraining.
-type Monitor = core.Monitor
-
 // LabelingKind selects period-based or cutoff labeling.
 type LabelingKind = core.LabelingKind
 
@@ -74,12 +68,6 @@ func Train(log []Record, cfg Config) (*Model, error) { return core.Train(log, cf
 
 // DefaultConfig returns the paper's shipped pipeline configuration.
 func DefaultConfig(seed int64) Config { return core.DefaultConfig(seed) }
-
-// DefaultRetrainPolicy returns the §7 retraining settings.
-func DefaultRetrainPolicy() RetrainPolicy { return core.DefaultRetrainPolicy() }
-
-// NewMonitor creates a retraining monitor.
-func NewMonitor(p RetrainPolicy) *Monitor { return core.NewMonitor(p) }
 
 // ---- I/O log ----
 

@@ -208,24 +208,6 @@ func TestLabelingKindString(t *testing.T) {
 	}
 }
 
-func TestRetrainMonitor(t *testing.T) {
-	p := DefaultRetrainPolicy()
-	m := NewMonitor(p)
-	if m.ShouldRetrain(0, 0.95) {
-		t.Fatal("retrained above threshold")
-	}
-	if !m.ShouldRetrain(int64(time.Hour), 0.5) {
-		t.Fatal("no retrain below threshold")
-	}
-	// Cooldown suppresses immediate retrigger.
-	if m.ShouldRetrain(int64(time.Hour)+int64(time.Second), 0.5) {
-		t.Fatal("retrained within cooldown")
-	}
-	if !m.ShouldRetrain(int64(time.Hour)+int64(10*time.Minute), 0.5) {
-		t.Fatal("no retrain after cooldown")
-	}
-}
-
 func TestRetrainProducesFreshModel(t *testing.T) {
 	_, log := testLog(t, 7, 3*time.Second)
 	m, err := Train(log, quickCfg(7))

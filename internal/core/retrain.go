@@ -1,62 +1,11 @@
 package core
 
-import (
-	"time"
-
-	"repro/internal/iolog"
-)
-
-// RetrainPolicy is the preliminary long-deployment policy of §7: monitor the
-// model's accuracy over a sliding window and trigger retraining on the most
-// recent data when accuracy drops below the threshold.
-type RetrainPolicy struct {
-	// Threshold is the accuracy below which retraining triggers (the paper
-	// uses 0.80).
-	Threshold float64
-	// CheckEvery is the monitoring cadence (the paper checks every minute).
-	CheckEvery time.Duration
-	// RetrainWindow is how much trailing data a retrain uses (the paper uses
-	// the last 1 minute before the trigger).
-	RetrainWindow time.Duration
-	// Cooldown suppresses retriggering immediately after a retrain.
-	Cooldown time.Duration
-}
-
-// DefaultRetrainPolicy returns the §7 settings.
-func DefaultRetrainPolicy() RetrainPolicy {
-	return RetrainPolicy{
-		Threshold:     0.80,
-		CheckEvery:    time.Minute,
-		RetrainWindow: time.Minute,
-		Cooldown:      2 * time.Minute,
-	}
-}
-
-// Monitor tracks windowed accuracy and decides when to retrain.
-type Monitor struct {
-	policy      RetrainPolicy
-	lastRetrain int64 // ns
-}
-
-// NewMonitor creates a monitor for the policy.
-func NewMonitor(p RetrainPolicy) *Monitor { return &Monitor{policy: p, lastRetrain: -1 << 62} }
-
-// ShouldRetrain reports whether the observed windowed accuracy at time now
-// warrants retraining.
-func (m *Monitor) ShouldRetrain(now int64, accuracy float64) bool {
-	if accuracy >= m.policy.Threshold {
-		return false
-	}
-	if now-m.lastRetrain < int64(m.policy.Cooldown) {
-		return false
-	}
-	m.lastRetrain = now
-	return true
-}
+import "repro/internal/iolog"
 
 // Retrain rebuilds the model with the same configuration on fresh records
-// (typically the RetrainWindow before the trigger). The original model is
-// untouched; deployment swaps atomically to the returned one.
+// (typically the last monitoring window before a drift.Strategy fired,
+// §7). The original model is untouched; deployment swaps atomically to the
+// returned one.
 func (m *Model) Retrain(recent []iolog.Record) (*Model, error) {
 	return Train(recent, m.cfg)
 }
@@ -70,11 +19,4 @@ func (m *Model) WindowAccuracy(reads []iolog.Record, refLabels []int) float64 {
 		return 1
 	}
 	return m.Evaluate(reads, refLabels).ROCAUC
-}
-
-// Drift summarizes one monitoring step of a long deployment run.
-type Drift struct {
-	At        time.Duration
-	Accuracy  float64
-	Retrained bool
 }

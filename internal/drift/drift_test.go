@@ -184,12 +184,17 @@ func TestStrategies(t *testing.T) {
 	if (Never{}).ShouldRetrain(5, 0.1, true) {
 		t.Error("never retrained")
 	}
+	// Periodic fires at windows 0, N and 2N and not in between, whatever
+	// the accuracy and drift signals say.
 	p := Periodic{Every: 3}
-	if !p.ShouldRetrain(3, 1, false) || p.ShouldRetrain(4, 0, true) == true && false {
-		t.Error("periodic schedule wrong")
-	}
-	if p.ShouldRetrain(4, 1, false) {
-		t.Error("periodic fired off-schedule")
+	for w := 0; w <= 7; w++ {
+		want := w == 0 || w == 3 || w == 6
+		if got := p.ShouldRetrain(w, 1, false); got != want {
+			t.Errorf("periodic at window %d: fired=%v, want %v", w, got, want)
+		}
+		if got := p.ShouldRetrain(w, 0, true); got != want {
+			t.Errorf("periodic at window %d with bad signals: fired=%v, want %v", w, got, want)
+		}
 	}
 	if (Periodic{}).ShouldRetrain(0, 0, true) {
 		t.Error("zero-period periodic fired")

@@ -63,6 +63,20 @@ func worldSamples(seed int64, n int, devices uint32, inverted bool) []core.LiveS
 	return out
 }
 
+// trainChampion trains a model the way a serving lifecycle does: the
+// samples go through a Harvester, which gives each its serving feature
+// row, and TrainLiveRows fits the whole reservoir.
+func trainChampion(t *testing.T, samples []core.LiveSample, cfg core.Config) *core.Model {
+	t.Helper()
+	h := NewHarvester(Config{Seed: cfg.Seed, ReservoirPerDevice: len(samples), HoldoutEvery: -1}, cfg.Feature)
+	feed(h, samples)
+	m, err := core.TrainLiveRows(h.SnapshotReservoir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func feed(h *Harvester, samples []core.LiveSample) {
 	for _, s := range samples {
 		h.OnCompletion(s.Device, s.LatencyNs, s.QueueLen, s.Size)
@@ -90,10 +104,7 @@ func managerCfg(seed int64, workers int) Config {
 // must win decisively.
 func runManagedFlow(t *testing.T, workers int) (*fakeTarget, *Manager, []TickReport) {
 	t.Helper()
-	champion, err := core.TrainLive(worldSamples(5, 2400, 2, true), trainCfg(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	champion := trainChampion(t, worldSamples(5, 2400, 2, true), trainCfg(5))
 	tgt := &fakeTarget{}
 	mgr, err := New(managerCfg(9, workers), champion, tgt)
 	if err != nil {
@@ -163,10 +174,7 @@ func cloneWithThreshold(t *testing.T, m *core.Model, th float64) *core.Model {
 }
 
 func TestJudgeGates(t *testing.T) {
-	champion, err := core.TrainLive(worldSamples(15, 2400, 2, false), trainCfg(15))
-	if err != nil {
-		t.Fatal(err)
-	}
+	champion := trainChampion(t, worldSamples(15, 2400, 2, false), trainCfg(15))
 
 	setup := func(cfg Config) (*fakeTarget, *Manager) {
 		t.Helper()
@@ -226,10 +234,7 @@ func TestJudgeGates(t *testing.T) {
 }
 
 func TestUrgencyLadder(t *testing.T) {
-	champion, err := core.TrainLive(worldSamples(25, 2400, 2, false), trainCfg(25))
-	if err != nil {
-		t.Fatal(err)
-	}
+	champion := trainChampion(t, worldSamples(25, 2400, 2, false), trainCfg(25))
 	cfg := managerCfg(26, 2)
 	cfg.EvalEvery = 4096
 	cfg.MinTrain = 100
@@ -277,10 +282,7 @@ func TestUrgencyLadder(t *testing.T) {
 }
 
 func TestRejectionRecalibratesChampion(t *testing.T) {
-	champion, err := core.TrainLive(worldSamples(35, 2400, 2, false), trainCfg(35))
-	if err != nil {
-		t.Fatal(err)
-	}
+	champion := trainChampion(t, worldSamples(35, 2400, 2, false), trainCfg(35))
 	cfg := managerCfg(36, 2)
 	cfg.OnlineRecalibration = true
 	cfg.TapEvery = 1

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -18,10 +17,7 @@ import (
 // that answered it — an inconsistent pair means a batch observed a
 // half-swapped challenger.
 func TestTornPromotion(t *testing.T) {
-	admitAll, err := core.TrainLive(worldSamples(23, 2400, 2, false), trainCfg(23))
-	if err != nil {
-		t.Fatal(err)
-	}
+	admitAll := trainChampion(t, worldSamples(23, 2400, 2, false), trainCfg(23))
 	admitAll.SetThreshold(2)
 	declineAll := cloneWithThreshold(t, admitAll, -1)
 
