@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,30 +20,6 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/train_golden.txt")
-
-// goldenData is a seeded 11-input set whose label depends non-linearly on
-// the row, with 10% label noise. 300 rows leave a ragged last batch at
-// Batch 64.
-func goldenData(n int, seed int64) ([][]float64, []float64) {
-	rng := rand.New(rand.NewSource(seed))
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for r := range X {
-		row := make([]float64, 11)
-		for i := range row {
-			row[i] = rng.Float64()*2 - 1
-		}
-		s := row[0]*row[1] + math.Sin(3*row[2]) - 0.5*row[3] + row[10]*row[10]
-		if s > 0.2 {
-			y[r] = 1
-		}
-		if rng.Float64() < 0.1 {
-			y[r] = 1 - y[r]
-		}
-		X[r] = row
-	}
-	return X, y
-}
 
 // hashNet folds the bits of every Snapshot weight and bias, then the
 // training stats, into one FNV-64a hash.

@@ -258,7 +258,7 @@ func TestActivationDerivativeProperty(t *testing.T) {
 			}
 			y := a.apply(x)
 			numeric := (a.apply(x+eps) - a.apply(x-eps)) / (2 * eps)
-			if math.Abs(a.deriv(x, y)-numeric) > 1e-4*(1+math.Abs(numeric)) {
+			if math.Abs(a.deriv(y)-numeric) > 1e-4*(1+math.Abs(numeric)) {
 				return false
 			}
 		}
@@ -278,6 +278,26 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Inputs: 2, Layers: []LayerSpec{{0, ReLU}}}); err == nil {
 		t.Fatal("zero units accepted")
+	}
+	// A hidden softmax would back-propagate with derivative 1.
+	if _, err := New(Config{Inputs: 2, Layers: []LayerSpec{{4, Softmax}, {1, Sigmoid}}}); err == nil {
+		t.Fatal("hidden softmax accepted")
+	}
+	// CE reads the second output unit as the slow class's probability.
+	for _, out := range []LayerSpec{{1, Sigmoid}, {2, Sigmoid}, {1, Softmax}, {2, Linear}} {
+		if _, err := New(Config{Inputs: 2, Layers: []LayerSpec{{4, ReLU}, out}, Loss: CE}); err == nil {
+			t.Fatalf("CE over a %d-unit %v output accepted", out.Units, out.Act)
+		}
+	}
+	for _, c := range []Config{
+		{Inputs: 2, Layers: []LayerSpec{{4, ReLU}, {2, Softmax}}, Loss: CE},
+		{Inputs: 2, Layers: []LayerSpec{{4, ReLU}, {3, Softmax}}, Loss: CE},
+		{Inputs: 2, Layers: []LayerSpec{{4, ReLU}, {1, Linear}}, Loss: BCE},
+		{Inputs: 2, Layers: []LayerSpec{{2, Softmax}}, Loss: MSE},
+	} {
+		if _, err := New(c); err != nil {
+			t.Fatalf("%+v rejected: %v", c.Layers, err)
+		}
 	}
 	net, _ := New(Config{Inputs: 2, Layers: []LayerSpec{{1, Sigmoid}}})
 	if _, err := net.Train(nil, nil); err == nil {
