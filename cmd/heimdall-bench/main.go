@@ -23,20 +23,23 @@
 // under each scenario.
 //
 // Three subcommands sit outside the experiment table machinery and parse
-// their own flags: `heimdall-bench serve` is the load generator for a live
-// heimdall-serve instance (add -int8 to self-host on the batched int8
-// engine), `heimdall-bench chaos` is the availability soak — it drives the
-// full client/proxy/server loop through seeded network fault schedules and
-// asserts the outcomes are deterministic across reruns and shard counts —
-// and `heimdall-bench int8` measures the int8 batch engine against the
-// int32 reference (ns/op per row, allocs, verdict agreement) and writes
-// BENCH_int8.json, exiting nonzero if the int8 path allocates or agreement
-// regresses (see -help on each). `heimdall-bench retrain` is the
-// continuous-learning shoot-out: a seeded drifting workload replayed
-// through a train-once baseline and a lifecycle-managed server, scoring
-// per-window accuracy/FNR against ground truth and asserting the managed
-// run's outcomes are byte-identical across reruns and candidate-training
-// worker counts (writes BENCH_retrain.json with -json).
+// their own flags (see -help on each):
+//
+//   - `heimdall-bench chaos` is the availability soak: it drives the full
+//     client/proxy/server loop through seeded network fault schedules and
+//     asserts the outcomes are deterministic across reruns and shard counts.
+//   - `heimdall-bench int8` measures the int8 batch engine against the int32
+//     reference (ns/op per row, allocs, verdict agreement) and writes
+//     BENCH_int8.json, exiting nonzero if the int8 path allocates or
+//     agreement regresses.
+//   - `heimdall-bench retrain` is the continuous-learning shoot-out: a
+//     seeded drifting workload replayed through a train-once baseline and a
+//     lifecycle-managed server, scoring per-window accuracy/FNR against
+//     ground truth and asserting the managed run's outcomes are
+//     byte-identical across reruns and candidate-training worker counts
+//     (writes BENCH_retrain.json with -json).
+//
+// The serving stack's benchmark is cmd/heimdall-perf, not this command.
 package main
 
 import (
@@ -84,13 +87,8 @@ var runners = map[string]func(experiments.Scale) experiments.Table{
 }
 
 func main() {
-	// The serve load generator has its own flag set and lifecycle (it talks
-	// to a live server rather than running a table experiment), so dispatch
-	// before the experiment flags parse.
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		runServeBench(os.Args[2:])
-		return
-	}
+	// The subcommands below have their own flag sets, so dispatch before the
+	// experiment flags parse.
 	if len(os.Args) > 1 && os.Args[1] == "chaos" {
 		runChaosBench(os.Args[2:])
 		return

@@ -214,96 +214,6 @@ func TestResilientSubmitRemote(t *testing.T) {
 	}
 }
 
-// TestBatchControllerLadder unit-tests the adaptive controller's level
-// ladder: sustained pressure climbs one level per period, an idle period
-// steps back down, mixed periods hold, and the batch cap and window track
-// the level. Pure arithmetic — fully deterministic.
-func TestBatchControllerLadder(t *testing.T) {
-	cfg := Config{
-		AdaptiveBatch:  true,
-		MaxBatch:       64,
-		BatchWindow:    0,
-		BatchWindowMax: 400 * time.Microsecond,
-		AdaptPeriod:    32,
-	}
-	var bc batchController
-	bc.init(cfg)
-	if bc.maxLevel != 3 { // 8 << 3 = 64
-		t.Fatalf("maxLevel = %d, want 3", bc.maxLevel)
-	}
-	if got := bc.batchCap(); got != 8 {
-		t.Fatalf("level-0 batch cap = %d, want 8", got)
-	}
-	if got := bc.window(); got != 0 {
-		t.Fatalf("level-0 window = %v, want 0", got)
-	}
-
-	// A period of cap-hitting batches widens exactly once.
-	step := func(fill, cap, backlog, times int) (widens, narrows int) {
-		for i := 0; i < times; i++ {
-			switch bc.observe(fill, cap, backlog) {
-			case adaptWiden:
-				widens++
-			case adaptNarrow:
-				narrows++
-			}
-		}
-		return
-	}
-	if w, n := step(8, 8, 4, 4); w != 1 || n != 0 { // 4×8 = 32 decisions = one period
-		t.Fatalf("pressured period: %d widens %d narrows, want 1/0", w, n)
-	}
-	if got := bc.batchCap(); got != 16 {
-		t.Fatalf("level-1 batch cap = %d, want 16", got)
-	}
-	if got, want := bc.window(), cfg.BatchWindowMax/3; got != want {
-		t.Fatalf("level-1 window = %v, want %v", got, want)
-	}
-
-	// Climb to the top; the cap and window saturate.
-	step(16, 16, 1, 2) // one period at level 1
-	step(32, 32, 1, 1) // one period at level 2
-	if bc.level != 3 || bc.batchCap() != 64 || bc.window() != cfg.BatchWindowMax {
-		t.Fatalf("saturated state: level=%d cap=%d window=%v", bc.level, bc.batchCap(), bc.window())
-	}
-	// Further pressure holds at the ceiling.
-	if w, n := step(64, 64, 9, 1); w != 0 || n != 0 {
-		t.Fatalf("ceiling step widened/narrowed: %d/%d", w, n)
-	}
-
-	// Mixed pressure (half the batches pressured) holds the level.
-	for i := 0; i < 4; i++ {
-		bc.observe(8, 64, 1) // pressured: backlog
-		bc.observe(8, 64, 0) // not pressured
-	}
-	if bc.level != 3 {
-		t.Fatalf("mixed period moved the level to %d", bc.level)
-	}
-
-	// Fully idle periods narrow one level at a time back to zero.
-	for lvl := 2; lvl >= 0; lvl-- {
-		if w, n := step(1, 64, 0, 32); w != 0 || n != 1 {
-			t.Fatalf("idle period at level %d: %d widens %d narrows", lvl+1, w, n)
-		}
-		if bc.level != lvl {
-			t.Fatalf("level = %d, want %d", bc.level, lvl)
-		}
-	}
-	if bc.batchCap() != 8 || bc.window() != 0 {
-		t.Fatalf("ground state: cap=%d window=%v", bc.batchCap(), bc.window())
-	}
-
-	// Disabled controller: full-size batches, base window, no stepping.
-	var off batchController
-	off.init(Config{MaxBatch: 64, BatchWindow: 100 * time.Microsecond})
-	if off.batchCap() != 64 || off.window() != 100*time.Microsecond {
-		t.Fatalf("disabled controller: cap=%d window=%v", off.batchCap(), off.window())
-	}
-	if got := off.observe(64, 64, 9); got != adaptHold {
-		t.Fatalf("disabled controller stepped: %d", got)
-	}
-}
-
 // runDevicePipelined replays a device script through the windowed Pipeline
 // API (completions ride the same write buffer) and returns verdicts indexed
 // by decide sequence — Pipeline ids are sequential from 1.
@@ -349,12 +259,11 @@ func runDevicePipelined(t *testing.T, addr string, device uint32, ops []op, wind
 	return out
 }
 
-// TestServeDeterminismAdaptivePipelined extends the determinism contract
-// over the two new datapath degrees of freedom: the adaptive micro-batch
-// controller (batch shapes now drift with load) and client pipeline depth.
-// Whatever shapes the controller picks and however deep the window, verdicts
-// must stay byte-identical to the sequential reference.
-func TestServeDeterminismAdaptivePipelined(t *testing.T) {
+// TestServeDeterminismPipelined extends the determinism contract over
+// client pipeline depth and the gather window: however deep the window and
+// however the batches form, verdicts must stay byte-identical to the
+// sequential reference, and no batch may exceed MaxBatch.
+func TestServeDeterminismPipelined(t *testing.T) {
 	const devs, opsPer = 5, 200
 	for _, joint := range []int{1, 4} {
 		m := testModel(t, 27, joint)
@@ -364,15 +273,13 @@ func TestServeDeterminismAdaptivePipelined(t *testing.T) {
 			cfg    Config
 			window int
 		}{
-			// Adaptive controller with a tight period so it actually steps,
-			// driven by fully-pipelined clients.
-			{Config{Shards: 2, AdaptiveBatch: true, AdaptPeriod: 32, BatchWindowMax: 200 * time.Microsecond,
-				MaxBatch: 64, QueueLen: q, GroupTimeout: time.Minute}, 0},
+			// Fully-pipelined clients: each writes its whole script at once,
+			// so the backlog outgrows MaxBatch.
+			{Config{Shards: 2, MaxBatch: 64, QueueLen: q, GroupTimeout: time.Minute}, 0},
 			// Windowed pipeline against a fixed batch shape.
 			{Config{Shards: 4, MaxBatch: 32, QueueLen: q, GroupTimeout: time.Minute}, 24},
-			// Windowed pipeline and the adaptive controller together.
-			{Config{Shards: 4, AdaptiveBatch: true, AdaptPeriod: 64, BatchWindow: 20 * time.Microsecond,
-				MaxBatch: 64, QueueLen: q, GroupTimeout: time.Minute}, 16},
+			// Windowed pipeline with a gather window, so shallow drains linger.
+			{Config{Shards: 4, BatchWindow: 20 * time.Microsecond, MaxBatch: 64, QueueLen: q, GroupTimeout: time.Minute}, 16},
 		} {
 			srv := NewServer(m, tc.cfg)
 			addr := startServer(t, srv)
@@ -396,19 +303,28 @@ func TestServeDeterminismAdaptivePipelined(t *testing.T) {
 				}(uint32(d))
 			}
 			wg.Wait()
+			// BatchHist bucket i counts batches of size [2^i, 2^(i+1)), so
+			// any count in a bucket that starts above MaxBatch is a batch
+			// over the cap.
+			for i, n := range srv.Stats().BatchHist {
+				if n > 0 && 1<<i > tc.cfg.MaxBatch {
+					t.Fatalf("joint=%d maxBatch=%d window=%d: %d batches of size >= %d",
+						joint, tc.cfg.MaxBatch, tc.window, n, 1<<i)
+				}
+			}
 			for d := uint32(0); d < devs; d++ {
 				if len(got[d]) != len(ref[d]) {
-					t.Fatalf("joint=%d adaptive=%v window=%d device %d: %d verdicts, reference %d",
-						joint, tc.cfg.AdaptiveBatch, tc.window, d, len(got[d]), len(ref[d]))
+					t.Fatalf("joint=%d maxBatch=%d window=%d device %d: %d verdicts, reference %d",
+						joint, tc.cfg.MaxBatch, tc.window, d, len(got[d]), len(ref[d]))
 				}
 				for i, v := range got[d] {
 					if v.Flags != 0 {
-						t.Fatalf("joint=%d adaptive=%v window=%d device %d decision %d degraded (flags %#x)",
-							joint, tc.cfg.AdaptiveBatch, tc.window, d, i, v.Flags)
+						t.Fatalf("joint=%d maxBatch=%d window=%d device %d decision %d degraded (flags %#x)",
+							joint, tc.cfg.MaxBatch, tc.window, d, i, v.Flags)
 					}
 					if v.Admit != ref[d][i] {
-						t.Fatalf("joint=%d adaptive=%v window=%d device %d decision %d: %v != sequential %v",
-							joint, tc.cfg.AdaptiveBatch, tc.window, d, i, v.Admit, ref[d][i])
+						t.Fatalf("joint=%d maxBatch=%d window=%d device %d decision %d: %v != sequential %v",
+							joint, tc.cfg.MaxBatch, tc.window, d, i, v.Admit, ref[d][i])
 					}
 				}
 			}

@@ -40,19 +40,6 @@ type Config struct {
 	// deterministic.
 	GroupTimeout time.Duration
 
-	// AdaptiveBatch enables the per-shard micro-batch controller: a
-	// decision-count-driven feedback loop that widens the effective batch
-	// window and size (up to BatchWindowMax/MaxBatch) under sustained queue
-	// pressure and narrows them when the queue drains. Shapes change;
-	// verdicts never do.
-	AdaptiveBatch bool
-	// BatchWindowMax caps how far the controller may widen the gather
-	// window (default 8×BatchWindow, or 500µs when BatchWindow is 0).
-	BatchWindowMax time.Duration
-	// AdaptPeriod is how many decisions the controller observes between
-	// steps of its level ladder (default 256).
-	AdaptPeriod int
-
 	// BreakerWindow is the per-shard decision window for shed-rate trip
 	// checks (default 256; negative disables the breaker).
 	BreakerWindow int
@@ -156,23 +143,6 @@ func (c Config) groupTimeout() time.Duration {
 	return 2 * time.Millisecond
 }
 
-func (c Config) batchWindowMax() time.Duration {
-	if c.BatchWindowMax > 0 {
-		return c.BatchWindowMax
-	}
-	if c.BatchWindow > 0 {
-		return 8 * c.BatchWindow
-	}
-	return 500 * time.Microsecond
-}
-
-func (c Config) adaptPeriod() int {
-	if c.AdaptPeriod > 0 {
-		return c.AdaptPeriod
-	}
-	return 256
-}
-
 func (c Config) breakerWindow() int {
 	if c.BreakerWindow > 0 {
 		return c.BreakerWindow
@@ -269,7 +239,6 @@ func NewServer(m *core.Model, cfg Config) *Server {
 			q:    make(chan request, cfg.queueLen()),
 			devs: make(map[uint32]*deviceState),
 		}
-		sh.ctl.init(cfg)
 		if len(cfg.DriftRef) > 0 {
 			sh.det = drift.NewInputDetector(cfg.DriftRef, cfg.driftBins())
 			if cfg.OnDrift != nil {

@@ -59,8 +59,6 @@ type shard struct {
 	//heimdall:owner run,NewServer
 	devs map[uint32]*deviceState
 	cnt  counters
-	//heimdall:owner run,NewServer
-	ctl batchController
 
 	//heimdall:owner run
 	batch []request
@@ -130,18 +128,17 @@ func (sh *shard) shedTotal() uint64 {
 }
 
 // run is the shard worker: block for one request, drain the backlog up to
-// the controller's batch cap, linger the gather window only if that drain
-// came up shallow, then decide the whole batch against one atomic model
-// load. Wall-clock use is
-// audited: the batch window and queue-age deadlines are real serving time,
-// not simulation time — the adaptive controller itself never reads a clock
-// (it is driven purely by decision counts and queue occupancy).
+// MaxBatch, linger the gather window once if that drain left the batch
+// short, then decide the whole batch against one atomic model load.
+// Wall-clock use is audited: the batch window and queue-age deadlines are
+// real serving time, not simulation time.
 //
 //heimdall:walltime
 func (sh *shard) run() {
 	defer sh.srv.wgWorkers.Done()
 	cfg := sh.srv.cfg
 	groupTimeout := int64(cfg.groupTimeout())
+	maxBatch := cfg.maxBatch()
 	var timer *time.Timer
 	for {
 		var r request
@@ -169,24 +166,18 @@ func (sh *shard) run() {
 			sh.shutdown()
 			return
 		}
-		maxBatch := sh.ctl.batchCap()
 		sh.batch = append(sh.batch[:0], r)
 		sh.gather(maxBatch)
-		// Linger only when the first drain came up shallow: under sustained
-		// load the backlog itself is the batching mechanism, and sleeping
-		// with work queued would cap throughput at one batch per window.
-		// Lingering pays only when arrivals trickle in below the
-		// amortization floor — then one window of patience turns several
-		// wakeups into one forward pass.
-		if window := sh.ctl.window(); window > 0 && len(sh.batch) < sh.ctl.gatherFloor(maxBatch) {
-			time.Sleep(window)
+		// The window is an explicit latency-for-amortization trade: when the
+		// first drain left the batch short, one window of patience can turn
+		// several wakeups into one forward pass.
+		if cfg.BatchWindow > 0 && len(sh.batch) < maxBatch {
+			time.Sleep(cfg.BatchWindow)
 			sh.gather(maxBatch)
 		}
 		sm := sh.srv.model.Load()
 		if sm != sh.scrFor {
-			// Scratch is sized to the configured ceiling, not the adaptive
-			// cap, so narrowing and re-widening never reallocates it.
-			sh.scr = sm.m.NewBatchScratch(cfg.maxBatch())
+			sh.scr = sm.m.NewBatchScratch(maxBatch)
 			sh.scrFor = sm
 		}
 		now := sh.srv.now()
@@ -196,7 +187,6 @@ func (sh *shard) run() {
 		sh.decideStaged(sm)
 		sh.cnt.observeBatch(len(sh.batch))
 		sh.cnt.held.Store(int64(sh.deferred))
-		sh.adapt(len(sh.batch), maxBatch, len(sh.q))
 		for i := range sh.batch {
 			sh.batch[i] = request{} // drop conn references
 		}
@@ -233,20 +223,6 @@ func (sh *shard) gather(maxBatch int) {
 			return
 		}
 	}
-}
-
-// adapt feeds one drained batch into the controller and publishes any shape
-// change to the counters.
-//
-//heimdall:hotpath
-func (sh *shard) adapt(fill, batchCap, backlog int) {
-	switch sh.ctl.observe(fill, batchCap, backlog) {
-	case adaptWiden:
-		sh.cnt.widens.Add(1)
-	case adaptNarrow:
-		sh.cnt.narrows.Add(1)
-	}
-	sh.cnt.adaptLevel.Store(int64(sh.ctl.level))
 }
 
 // process handles one routed request: completions feed the device history;
@@ -541,140 +517,4 @@ func (sh *shard) shutdown() {
 	}
 	sh.touched = sh.touched[:0]
 	sh.cnt.held.Store(0)
-}
-
-// Controller step outcomes, published to the widens/narrows counters.
-const (
-	adaptHold = iota
-	adaptWiden
-	adaptNarrow
-)
-
-// batchController adapts the shard's effective micro-batch shape to load.
-// It is decision-count-driven: each drained batch reports its fill, the cap
-// it ran under, and the queue backlog left behind; every AdaptPeriod
-// decisions the controller steps a discrete level ladder — up when most
-// batches in the period ran pressured (hit the cap or left a backlog), down
-// when none did. Level L maps to (batch cap minBatch<<L, window interpolated
-// toward BatchWindowMax), so sustained pressure widens the window and batch
-// bound to amortize wakeups and forward passes, and a drained queue narrows
-// them back for latency. No wall-clock reads anywhere (the walltime lint
-// holds): the sleep itself happens in run, an audited site, and how long to
-// sleep is a pure function of the observed decision sequence. Batch shape
-// never affects verdicts — group membership and feature history depend only
-// on per-device message order — so any controller trajectory yields
-// byte-identical decisions (pinned by TestServeDeterminism).
-type batchController struct {
-	//heimdall:owner init,batchCap,window,gatherFloor,observe
-	enabled bool
-	// level is also read by shard.adapt to publish the adapt-level gauge.
-	//
-	//heimdall:owner init,batchCap,window,gatherFloor,observe,shard.adapt
-	level int
-	//heimdall:owner init,batchCap,window,gatherFloor,observe
-	maxLevel int
-	//heimdall:owner init,batchCap,window,gatherFloor,observe
-	minBatch, maxBatch int
-	//heimdall:owner init,batchCap,window,gatherFloor,observe
-	baseWindow time.Duration
-	//heimdall:owner init,batchCap,window,gatherFloor,observe
-	maxWindow time.Duration
-	//heimdall:owner init,batchCap,window,gatherFloor,observe
-	period int // decisions per controller step
-	//heimdall:owner init,batchCap,window,gatherFloor,observe
-	decided int // decisions accumulated toward the next step
-	//heimdall:owner init,batchCap,window,gatherFloor,observe
-	batches int // batches observed in the current period
-	//heimdall:owner init,batchCap,window,gatherFloor,observe
-	pressured int // of those, how many ran pressured
-}
-
-func (bc *batchController) init(cfg Config) {
-	bc.enabled = cfg.AdaptiveBatch
-	bc.maxBatch = cfg.maxBatch()
-	bc.minBatch = adaptMinBatch
-	if bc.minBatch > bc.maxBatch {
-		bc.minBatch = bc.maxBatch
-	}
-	for bc.minBatch<<bc.maxLevel < bc.maxBatch {
-		bc.maxLevel++
-	}
-	bc.baseWindow = cfg.BatchWindow
-	bc.maxWindow = cfg.batchWindowMax()
-	bc.period = cfg.adaptPeriod()
-}
-
-// adaptMinBatch is the level-0 batch cap under the adaptive controller: small
-// enough that an idle shard decides almost immediately, large enough that the
-// first widening step is meaningful.
-const adaptMinBatch = 8
-
-// batchCap returns the effective per-wakeup batch bound.
-//
-//heimdall:hotpath
-func (bc *batchController) batchCap() int {
-	if !bc.enabled {
-		return bc.maxBatch
-	}
-	c := bc.minBatch << bc.level
-	if c > bc.maxBatch {
-		c = bc.maxBatch
-	}
-	return c
-}
-
-// window returns the effective micro-batch gather window.
-//
-//heimdall:hotpath
-func (bc *batchController) window() time.Duration {
-	if !bc.enabled || bc.level == 0 || bc.maxLevel == 0 {
-		return bc.baseWindow
-	}
-	return bc.baseWindow + (bc.maxWindow-bc.baseWindow)*time.Duration(bc.level)/time.Duration(bc.maxLevel)
-}
-
-// gatherFloor is the batch fill below which the worker lingers for the
-// gather window before deciding. A fixed window (controller disabled)
-// lingers whenever the batch isn't full — the window is an explicit
-// latency-for-amortization trade the operator asked for. The adaptive
-// controller lingers only below its level-0 cap: a first drain that already
-// gathered that much has amortized the wakeup, and sleeping on top of a
-// live backlog would throttle the shard to one batch per window.
-//
-//heimdall:hotpath
-func (bc *batchController) gatherFloor(batchCap int) int {
-	if !bc.enabled {
-		return batchCap
-	}
-	return bc.minBatch
-}
-
-// observe feeds one drained batch into the controller and returns the step
-// taken, if any. Pure arithmetic on counts — deterministic given the same
-// observation sequence.
-//
-//heimdall:hotpath
-func (bc *batchController) observe(fill, batchCap, backlog int) int {
-	if !bc.enabled {
-		return adaptHold
-	}
-	bc.batches++
-	bc.decided += fill
-	if fill >= batchCap || backlog > 0 {
-		bc.pressured++
-	}
-	if bc.decided < bc.period {
-		return adaptHold
-	}
-	pressured, batches := bc.pressured, bc.batches
-	bc.decided, bc.batches, bc.pressured = 0, 0, 0
-	switch {
-	case 2*pressured > batches && bc.level < bc.maxLevel:
-		bc.level++
-		return adaptWiden
-	case pressured == 0 && bc.level > 0:
-		bc.level--
-		return adaptNarrow
-	}
-	return adaptHold
 }

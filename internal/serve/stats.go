@@ -25,9 +25,6 @@ type counters struct {
 	batches    [batchBuckets]atomic.Uint64
 	maxPSI     atomic.Uint64 // math.Float64bits, published per window
 	held       atomic.Int64  // gauge: joint-group members currently deferred
-	widens     atomic.Uint64 // adaptive controller: level increments
-	narrows    atomic.Uint64 // adaptive controller: level decrements
-	adaptLevel atomic.Int64  // gauge: current controller level
 }
 
 func (c *counters) observeBatch(n int) {
@@ -52,11 +49,6 @@ type ShardStats struct {
 	QueueDepth    int     `json:"queue_depth"`
 	MaxPSI        float64 `json:"max_psi"`
 	Held          int64   `json:"held"`
-	// Adaptive micro-batch controller: how often this shard widened and
-	// narrowed its batch shape, and the level it sits at now.
-	Widens     uint64 `json:"widens"`
-	Narrows    uint64 `json:"narrows"`
-	AdaptLevel int64  `json:"adapt_level"`
 }
 
 func (c *counters) snapshot(depth int) ShardStats {
@@ -72,9 +64,6 @@ func (c *counters) snapshot(depth int) ShardStats {
 		QueueDepth:    depth,
 		MaxPSI:        math.Float64frombits(c.maxPSI.Load()),
 		Held:          c.held.Load(),
-		Widens:        c.widens.Load(),
-		Narrows:       c.narrows.Load(),
-		AdaptLevel:    c.adaptLevel.Load(),
 	}
 }
 
@@ -96,13 +85,8 @@ type Stats struct {
 	// Held is the gauge of joint-group members whose verdicts are deferred
 	// waiting for their group to fill; Drained counts decides answered by
 	// the graceful-shutdown drain.
-	Held    int64  `json:"held"`
-	Drained uint64 `json:"drained"`
-	// Adaptive micro-batch controller activity summed over shards, plus the
-	// widest level any shard currently sits at.
-	Widens        uint64 `json:"widens"`
-	Narrows       uint64 `json:"narrows"`
-	AdaptLevel    int64  `json:"adapt_level"`
+	Held          int64  `json:"held"`
+	Drained       uint64 `json:"drained"`
 	ConnsOpen     int    `json:"conns_open"`
 	ConnsAccepted uint64 `json:"conns_accepted"`
 	ConnDrops     uint64 `json:"conn_drops"`
@@ -144,11 +128,6 @@ func (s *Stats) add(sh ShardStats) {
 	s.Recoveries += sh.Recoveries
 	s.QueueDepth += sh.QueueDepth
 	s.Held += sh.Held
-	s.Widens += sh.Widens
-	s.Narrows += sh.Narrows
-	if sh.AdaptLevel > s.AdaptLevel {
-		s.AdaptLevel = sh.AdaptLevel
-	}
 	if sh.MaxPSI > s.MaxPSI {
 		s.MaxPSI = sh.MaxPSI
 	}
